@@ -79,9 +79,6 @@ CACHE_OPS: Tuple[str, ...] = (
     "deny_writes",
     "write_back",
     "delete_range",
-    "zero_fill",
-    "populate",
-    "destroy_cache",
     "invalidate_attributes",
     "write_back_attributes",
 )
@@ -383,20 +380,6 @@ class ChannelOps:
         with self.region():
             state.holders.invalidate(offset, size)
 
-    def zero_fill(self, state, offset, size) -> None:
-        if state.holders is None:
-            return
-        with self.region():
-            state.holders.invalidate(offset, size)
-
-    def populate(self, state, offset, size, access, data) -> None:
-        pass  # nothing cached here
-
-    def destroy_cache(self, state) -> None:
-        if state.holders is not None:
-            state.holders.invalidate(0, WHOLE_FILE)
-        state.down_channel = None
-
     def invalidate_attributes(self, state) -> None:
         # Upstream attribute caches must drop their copies.
         self.layer.invalidate_upstream_attrs(state)
@@ -560,28 +543,6 @@ class LayerFsCache(FsCache):
         runtime = self.runtime
         runtime.record("delete_range", offset, size)
         runtime.timed(self.ops.delete_range, self.state, offset, size)
-
-    @operation
-    def zero_fill(self, offset: int, size: int) -> None:
-        runtime = self.runtime
-        runtime.record("zero_fill", offset, size)
-        runtime.timed(self.ops.zero_fill, self.state, offset, size)
-
-    @operation
-    def populate(
-        self, offset: int, size: int, access: AccessRights, data: bytes
-    ) -> None:
-        runtime = self.runtime
-        runtime.record("populate", offset, size)
-        runtime.timed(
-            self.ops.populate, self.state, offset, size, access, data
-        )
-
-    @operation
-    def destroy_cache(self) -> None:
-        runtime = self.runtime
-        runtime.record("destroy_cache")
-        runtime.timed(self.ops.destroy_cache, self.state)
 
     @operation
     def invalidate_attributes(self) -> None:

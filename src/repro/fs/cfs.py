@@ -116,11 +116,6 @@ class CfsOps(ChannelOps):
     spine's data-op defaults already collect nothing — only the
     attribute ops need real behaviour."""
 
-    def destroy_cache(self, state) -> None:
-        state.attrs = None
-        state.down_channel = None
-        state.down_pager = None
-
     def invalidate_attributes(self, state) -> None:
         self.layer.world.counters.inc("cfs.attr_invalidated")
         state.attrs = None

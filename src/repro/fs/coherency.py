@@ -227,22 +227,6 @@ class CoherencyOps(ChannelOps):
             state.holders.invalidate(offset, size)
         state.store.drop_range(offset, size)
 
-    def zero_fill(self, state, offset, size) -> None:
-        with self.region():
-            state.holders.invalidate(offset, size)
-        state.store.zero_range(offset, size)
-
-    def populate(self, state, offset, size, access, data) -> None:
-        for i, index in enumerate(page_range(offset, size)):
-            state.store.install(
-                index, data[i * PAGE_SIZE : (i + 1) * PAGE_SIZE], access
-            )
-
-    def destroy_cache(self, state) -> None:
-        state.store.clear()
-        state.attrs = None
-        state.destroyed = True
-
     def invalidate_attributes(self, state) -> None:
         state.attrs = None
         self.layer.invalidate_upstream_attrs(state)

@@ -195,18 +195,6 @@ class CompOps(ChannelOps):
     def delete_range(self, state, offset, size) -> None:
         self.layer._drop_plaintext(state)
 
-    def zero_fill(self, state, offset, size) -> None:
-        self.layer._drop_plaintext(state)
-
-    def populate(self, state, offset, size, access, data) -> None:
-        # Fresh compressed data pushed at us; simplest correct response
-        # is to reload lazily.
-        self.layer._drop_plaintext(state)
-
-    def destroy_cache(self, state) -> None:
-        self.layer._drop_plaintext(state)
-        state.down_channel = None
-
     def invalidate_attributes(self, state) -> None:
         # Length lives in the compressed header; reload lazily.
         self.layer._drop_plaintext(state)

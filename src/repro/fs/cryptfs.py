@@ -147,18 +147,6 @@ class CryptOps(ChannelOps):
         state.holders.invalidate(offset, size)
         self.layer._drop_clean(state, offset, size)
 
-    def zero_fill(self, state, offset, size) -> None:
-        state.holders.invalidate(offset, size)
-        self.layer._drop_clean(state, offset, size)
-
-    def populate(self, state, offset, size, access, data) -> None:
-        state.holders.invalidate(offset, size)
-        self.layer._drop_clean(state, offset, size)
-
-    def destroy_cache(self, state) -> None:
-        state.plain.clear()
-        state.down_channel = None
-
     def invalidate_attributes(self, state) -> None:
         pass  # attributes are not cached by this layer
 

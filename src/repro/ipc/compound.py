@@ -347,34 +347,39 @@ class CompoundInvocation:
         outcomes: List[Any] = [SKIPPED] * total
         executed: List[bool] = [False] * total
         pending = list(range(total))
-        attempt = 0
-        waited_us = 0.0
-        while True:
+        if policy is None:
             self._run_pass(pending, outcomes, executed)
-            if policy is None:
-                break
-            retryable = [
+            return CompoundResult(outcomes)
+        retryable: List[int] = []
+
+        def attempt() -> None:
+            self._run_pass(pending, outcomes, executed)
+            retryable[:] = [
                 index
                 for index in pending
                 if not executed[index]
                 and isinstance(outcomes[index], CompoundSubOpError)
                 and isinstance(outcomes[index].cause, policy.retry_on)
             ]
-            if not retryable:
-                break
-            cause = outcomes[retryable[0]].cause
-            if not policy.should_retry(attempt, waited_us, cause):
-                break
-            backoff = policy.backoff_us(attempt)
+            if retryable:
+                # Never-executed sub-ops only: the transient failures plus
+                # everything fail-fast skipped behind them.
+                pending[:] = [index for index in pending if not executed[index]]
+                raise outcomes[retryable[0]].cause
+
+        def on_retry(n: int, backoff_us: float, exc: BaseException) -> None:
             self.world.counters.inc("compound.retries")
             self.world.trace(
-                "retry", "compound_backoff", attempt=attempt,
-                backoff_us=backoff, ops=len(retryable),
+                "retry", "compound_backoff", attempt=n,
+                backoff_us=backoff_us, ops=len(retryable),
             )
-            self.world.clock.advance(backoff, "retry_backoff")
-            waited_us += backoff
-            attempt += 1
-            # Never-executed sub-ops only: the transient failures plus
-            # everything fail-fast skipped behind them.
-            pending = [index for index in pending if not executed[index]]
+
+        try:
+            policy.run(
+                attempt,
+                lambda us: self.world.clock.advance(us, "retry_backoff"),
+                on_retry,
+            )
+        except policy.retry_on:
+            pass  # out of retries: the failures stay demultiplexed
         return CompoundResult(outcomes)

@@ -26,7 +26,6 @@ import threading
 from typing import Any, Callable, List, Optional, TypeVar
 
 from repro.errors import RevokedObjectError
-from repro.ipc.retry import retry_send
 
 _tls = threading.local()
 
@@ -129,6 +128,25 @@ def _payload_bytes(args: tuple, kwargs: dict) -> int:
     return sum(bytes_in(v) for v in args) + sum(bytes_in(v) for v in kwargs.values())
 
 
+def _note_retry(world, target, dst_node, attempt: int, backoff_us: float,
+                exc: BaseException) -> None:
+    """Telemetry for one retried send: ``invoke.retries`` and — when the
+    target belongs to a file system layer — ``<layer>.retries``, so the
+    per-layer fault-tolerance breakdown sees it."""
+    world.counters.inc("invoke.retries")
+    layer = getattr(target, "layer", None)
+    if layer is not None:
+        world.counters.inc(layer.fs_type() + ".retries")
+    world.trace(
+        "retry",
+        "backoff",
+        attempt=attempt,
+        backoff_us=backoff_us,
+        dst=dst_node.name,
+        error=type(exc).__name__,
+    )
+
+
 F = TypeVar("F", bound=Callable[..., Any])
 
 
@@ -193,9 +211,11 @@ def operation(fn: F) -> F:
                 else:
                     # Retrying the send is always safe: a transfer
                     # failure means the op body never ran server-side.
-                    retry_send(
-                        world, self, policy, caller.node, server.node,
-                        request_bytes,
+                    src, dst = caller.node, server.node
+                    policy.run(
+                        lambda: world.network.send(src, dst, request_bytes),
+                        lambda us: world.clock.advance(us, "retry_backoff"),
+                        functools.partial(_note_retry, world, self, dst),
                     )
         inc = world.counters.inc
         inc(_INVOKE_KEYS[path])

@@ -63,8 +63,8 @@ class Node:
         """A :class:`~repro.ipc.transport.SocketServer` over this
         node's exports — TCP clients in other OS processes invoke them
         via :class:`~repro.ipc.transport.SocketTransport`.  The caller
-        owns the server lifecycle (``await start()`` or wrap in a
-        :class:`~repro.ipc.transport.ServerThread`)."""
+        owns the server lifecycle (``start()`` then ``serve_forever()``,
+        or wrap in a :class:`~repro.ipc.transport.ServerThread`)."""
         from repro.ipc.transport import SocketServer
 
         return SocketServer(

@@ -9,17 +9,20 @@ exactly that behaviour for *transient* network failures
 (:class:`~repro.errors.TransientNetworkError`: partitions, crashed
 nodes, dropped messages).
 
-Safety: the invocation layer retries only the request *send* — a
-failure raised by ``Network.transfer`` means the operation body never
-ran server-side, so resending cannot double-execute anything.  The
-compound layer applies the same rule batch-wide: only sub-operations
-that never executed are retried (see
-:meth:`repro.ipc.compound.CompoundInvocation.commit`).
+:meth:`RetryPolicy.run` is the one retry loop; each caller supplies
+what an attempt is, how to wait, and its own telemetry.  Safety is the
+caller's choice of attempt: the invocation layer retries only the
+request *send* (a ``Network.transfer`` failure means the op body never
+ran server-side), the compound layer re-runs only sub-operations that
+never executed (:meth:`repro.ipc.compound.CompoundInvocation.commit`),
+and the socket client resends the whole exchange only for ops declared
+idempotent (:class:`repro.ipc.transport.SocketTransport`).
 
-Backoff advances the *virtual* clock (category ``retry_backoff``), which
-is also what lets a retry succeed: scheduled heal/recover events fire
-when the clock passes their time, so "back off 800us" can carry the
-caller across a fault window deterministically.
+Simulated callers back off on the *virtual* clock (category
+``retry_backoff``), which is also what lets a retry succeed: scheduled
+heal/recover events fire when the clock passes their time, so "back off
+800us" can carry the caller across a fault window deterministically.
+The socket client sleeps in wall time.
 
 Off by default: ``world.retry_policy`` is None and every failure
 surfaces exactly as before.
@@ -28,7 +31,7 @@ surfaces exactly as before.
 from __future__ import annotations
 
 import dataclasses
-from typing import Tuple, Type
+from typing import Any, Callable, Optional, Tuple, Type
 
 from repro.errors import TransientNetworkError
 
@@ -69,38 +72,31 @@ class RetryPolicy:
             return False
         return waited_us + self.backoff_us(attempt) <= self.timeout_us
 
+    def run(
+        self,
+        attempt: Callable[[], Any],
+        wait: Callable[[float], Any],
+        on_retry: Optional[Callable[[int, float, BaseException], Any]] = None,
+    ) -> Any:
+        """Call ``attempt()`` until it returns, retrying the failures this
+        policy allows.
 
-def retry_send(world, target, policy: RetryPolicy, src_node, dst_node,
-               nbytes: int) -> None:
-    """Send one request message with retries under ``policy``.
-
-    ``target`` is the invocation target, used only for telemetry: every
-    retry counts under ``invoke.retries`` and — when the target belongs
-    to a file system layer — ``<layer>.retries``, so the per-layer
-    fault-tolerance breakdown sees it.
-    """
-    attempt = 0
-    waited_us = 0.0
-    while True:
-        try:
-            world.network.send(src_node, dst_node, nbytes)
-            return
-        except TransientNetworkError as exc:
-            if not policy.should_retry(attempt, waited_us, exc):
-                raise
-            backoff = policy.backoff_us(attempt)
-            world.counters.inc("invoke.retries")
-            layer = getattr(target, "layer", None)
-            if layer is not None:
-                world.counters.inc(layer.fs_type() + ".retries")
-            world.trace(
-                "retry",
-                "backoff",
-                attempt=attempt,
-                backoff_us=backoff,
-                dst=dst_node.name,
-                error=type(exc).__name__,
-            )
-            world.clock.advance(backoff, "retry_backoff")
-            waited_us += backoff
-            attempt += 1
+        Before retry number ``n`` (0-based), ``on_retry(n, backoff_us,
+        exc)`` records the caller's telemetry and ``wait(backoff_us)``
+        backs off.  A failure the policy does not retry — wrong type, or
+        past the attempt/timeout limits — propagates unchanged.
+        """
+        n = 0
+        waited_us = 0.0
+        while True:
+            try:
+                return attempt()
+            except self.retry_on as exc:
+                if not self.should_retry(n, waited_us, exc):
+                    raise
+                backoff = self.backoff_us(n)
+                if on_retry is not None:
+                    on_retry(n, backoff, exc)
+                wait(backoff)
+                waited_us += backoff
+                n += 1

@@ -17,25 +17,29 @@ makes the message plane pluggable:
   the pre-seam behaviour; ``invoke`` dispatches directly to exported
   objects in-process (used by the backend-parity tests and benchmarks).
 
-* :class:`SocketServer` / :class:`SocketTransport` — a real asyncio TCP
-  pair speaking the :mod:`repro.ipc.wire` framing, so a Spring stack can
-  be split across OS processes: the server process exposes objects by
-  name (``node.expose``), the client process binds
-  :class:`RemoteStub`\\ s and invokes them.  Socket failures map onto
-  the same transient-error taxonomy the simulated fault plane uses —
-  connect failures/timeouts become
-  :class:`~repro.ipc.network.NetworkPartitionError`, a connection that
-  dies before the reply becomes
+* :class:`SocketServer` / :class:`SocketTransport` — a real TCP pair of
+  plain blocking sockets speaking the :mod:`repro.ipc.wire` framing
+  (both ends read frames with :func:`repro.ipc.wire.recv_message`), so
+  a Spring stack can be split across OS processes: the server process
+  exposes objects by name (``node.expose``) and serves each connection
+  from its own thread, one request at a time server-wide; the client
+  process binds :class:`RemoteStub`\\ s and invokes them with a
+  ``sendall`` and a blocking read.  Socket failures map onto the same
+  transient-error taxonomy the simulated fault plane uses — connect
+  failures/timeouts become
+  :class:`~repro.ipc.network.NetworkPartitionError`, a failed request
+  write or a connection that dies before the reply becomes
   :class:`~repro.errors.NodeCrashedError`, and a reply timeout becomes
   :class:`~repro.errors.MessageDroppedError` — which is exactly what
-  lets :class:`~repro.ipc.retry.RetryPolicy` (send-only retries) and
+  lets :meth:`~repro.ipc.retry.RetryPolicy.run` (send-only retries) and
   :class:`~repro.ipc.compound.CompoundInvocation` (one frame per batch)
   work unchanged on both backends.
 """
 
 from __future__ import annotations
 
-import asyncio
+import socket
+import socketserver
 import threading
 import time
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
@@ -45,7 +49,6 @@ from repro.errors import (
     MessageDroppedError,
     NameNotFoundError,
     NodeCrashedError,
-    TransientNetworkError,
 )
 from repro.ipc import wire
 from repro.ipc.network import NetworkPartitionError
@@ -177,15 +180,25 @@ class SimulatedTransport(Transport):
 
 # --- real sockets -----------------------------------------------------------
 
-class SocketServer:
-    """Asyncio TCP server hosting an export registry.
+#: How often :meth:`SocketServer.serve_forever` checks for a stop request.
+_POLL_S = 0.05
 
-    One client connection is one framed request/reply stream; requests
-    on a connection are served in order (a Spring server domain's
-    single-threaded determinism).  ``fail_next_reply`` is the socket
-    analogue of the simulated fault plane's crash injection: the op
-    executes, then the connection drops before the reply — the client
-    observes a mid-invoke server crash.
+
+class SocketServer:
+    """Blocking TCP server hosting an export registry.
+
+    Each client connection gets a handler thread that reads one framed
+    request at a time and writes its reply.  Unpack, dispatch and pack
+    run under one server-wide lock (waiting for bytes and sending do
+    not), so requests are served one at a time across all connections
+    — a Spring server domain's single-threaded determinism.
+    ``fail_next_reply`` is the socket analogue of the simulated fault
+    plane's crash injection: the op executes, then the connection drops
+    before the reply — the client observes a mid-invoke server crash.
+
+    Lifecycle: :meth:`start` binds and returns the port,
+    :meth:`serve_forever` serves until :meth:`stop` (from another
+    thread) or a served ``request_shutdown``.
     """
 
     def __init__(
@@ -208,8 +221,9 @@ class SocketServer:
         self.compound_batches = 0
         self._fail_next_replies = 0
         self._shutdown_after_reply = False
-        self._server: Optional[asyncio.AbstractServer] = None
-        self._closed: Optional[asyncio.Event] = None
+        self._lock = threading.Lock()
+        self._connections: set = set()
+        self._tcp: Optional[_TCPServer] = None
 
     # --- fault injection / shutdown ------------------------------------
     def fail_next_reply(self, count: int = 1) -> None:
@@ -223,54 +237,65 @@ class SocketServer:
         self._shutdown_after_reply = True
 
     # --- lifecycle ------------------------------------------------------
-    async def start(self) -> int:
-        self._closed = asyncio.Event()
-        self._server = await asyncio.start_server(
-            self._handle_client, self.host, self.port
-        )
-        self.port = self._server.sockets[0].getsockname()[1]
+    def start(self) -> int:
+        """Bind and listen; returns the bound port."""
+        self._tcp = _TCPServer(self)
+        self.port = self._tcp.server_address[1]
         return self.port
 
-    async def wait_closed(self) -> None:
-        assert self._closed is not None, "start() first"
-        await self._closed.wait()
-        self._server.close()
-        await self._server.wait_closed()
+    def serve_forever(self) -> None:
+        """Accept and serve connections until :meth:`stop`; then close
+        the listener and every open connection."""
+        assert self._tcp is not None, "start() first"
+        try:
+            self._tcp.serve_forever(poll_interval=_POLL_S)
+        finally:
+            self._tcp.server_close()
+            with self._lock:
+                for sock in self._connections:
+                    try:
+                        sock.shutdown(socket.SHUT_RDWR)
+                    except OSError:
+                        pass  # the peer is already gone
 
     def stop(self) -> None:
-        if self._closed is not None:
-            self._closed.set()
+        """Make :meth:`serve_forever` return; blocks until it has."""
+        if self._tcp is not None:
+            self._tcp.shutdown()
 
     # --- the serving loop ----------------------------------------------
-    async def _handle_client(self, reader, writer) -> None:
+    def _serve_connection(self, sock: socket.socket) -> None:
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        with self._lock:
+            self._connections.add(sock)
         try:
             while True:
                 try:
-                    msg = await wire.read_message(reader)
-                except (wire.WireError, ConnectionError):
+                    msg = wire.recv_message(sock, self._lock)
+                except (wire.WireError, OSError):
                     break
                 if msg is None:
                     break
-                self.frames_in += 1
-                reply = self._reply_for(msg)
-                if self._fail_next_replies > 0:
-                    self._fail_next_replies -= 1
-                    break  # crash: executed, never replied
-                writer.write(reply)
-                await writer.drain()
-                self.frames_out += 1
-                self.bytes_out += len(reply)
+                with self._lock:
+                    self.frames_in += 1
+                    reply = self._reply_for(msg)
+                    if self._fail_next_replies > 0:
+                        self._fail_next_replies -= 1
+                        break  # crash: executed, never replied
+                    # Counted before the send, so a client holding the
+                    # reply never sees it uncounted.
+                    self.frames_out += 1
+                    self.bytes_out += len(reply)
+                try:
+                    sock.sendall(reply)
+                except OSError:
+                    break
                 if self._shutdown_after_reply:
                     self.stop()
                     break
         finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError, asyncio.CancelledError):
-                # The loop may be tearing down (asyncio.run cancels
-                # handler tasks); the connection is closed either way.
-                pass
+            with self._lock:
+                self._connections.discard(sock)
 
     def _reply_for(self, msg: wire.Message) -> bytes:
         self.bytes_in += msg.nbytes
@@ -278,33 +303,25 @@ class SocketServer:
             return wire.pack_frame(
                 wire.REPLY, msg.seq, self.name, msg.src, msg.op, None
             )
-        if msg.kind == wire.COMPOUND:
-            self.compound_batches += 1
-            calls = [
-                (c["target"], c["op"], c["args"], c["kwargs"])
-                for c in msg.payload["calls"]
-            ]
-            outcomes = self.registry.run_compound(
-                calls, fail_fast=msg.payload["fail_fast"]
-            )
-            self.ops_served += sum(
-                1 for status, _ in outcomes if status == OK
-            )
-            encoded = [
-                {"status": status, "value": value}
-                for status, value in outcomes
-            ]
-            return wire.pack_frame(
-                wire.COMPOUND_REPLY, msg.seq, self.name, msg.src,
-                msg.op, encoded,
-            )
         try:
-            value = self.registry.call(
-                msg.payload["target"], msg.op,
-                msg.payload["args"], msg.payload["kwargs"],
-            )
-            self.ops_served += 1
-            kind = wire.REPLY
+            if msg.kind == wire.COMPOUND:
+                self.compound_batches += 1
+                outcomes = self.registry.run_compound(
+                    [(c["target"], c["op"], c["args"], c["kwargs"])
+                     for c in msg.payload["calls"]],
+                    fail_fast=msg.payload["fail_fast"],
+                )
+                self.ops_served += sum(1 for status, _ in outcomes if status == OK)
+                kind = wire.COMPOUND_REPLY
+                value = [{"status": status, "value": result}
+                         for status, result in outcomes]
+            else:
+                kind = wire.REPLY
+                value = self.registry.call(
+                    msg.payload["target"], msg.op,
+                    msg.payload["args"], msg.payload["kwargs"],
+                )
+                self.ops_served += 1
         except Exception as exc:
             value = exc
             kind = wire.ERROR
@@ -320,65 +337,66 @@ class SocketServer:
             )
 
 
+class _TCPServer(socketserver.ThreadingTCPServer):
+    """The listener behind a :class:`SocketServer`: one daemon thread per
+    connection, each running :meth:`SocketServer._serve_connection`."""
+
+    daemon_threads = True
+    block_on_close = False
+    allow_reuse_address = True
+
+    def __init__(self, owner: SocketServer) -> None:
+        self.owner = owner
+        super().__init__((owner.host, owner.port), None)
+
+    def finish_request(self, request, client_address) -> None:
+        self.owner._serve_connection(request)
+
+
 class ServerThread:
-    """Run a :class:`SocketServer` on a private event loop in a daemon
-    thread — the in-process harness tests and benchmarks use; a real
-    deployment runs the loop in its own OS process (``repro.serve``)."""
+    """Run a :class:`SocketServer`'s ``serve_forever`` in a daemon thread
+    — the in-process harness tests and benchmarks use; a real
+    deployment serves from its own OS process (``repro.serve``)."""
 
     def __init__(self, server: SocketServer) -> None:
         self.server = server
-        self._started = threading.Event()
-        self._startup_error: Optional[BaseException] = None
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._thread = threading.Thread(
-            target=self._run, name="repro-socket-server", daemon=True
+            target=server.serve_forever, name="repro-socket-server",
+            daemon=True,
         )
-
-    def _run(self) -> None:
-        try:
-            asyncio.run(self._main())
-        except BaseException as exc:  # startup failures surface in start()
-            self._startup_error = exc
-            self._started.set()
-
-    async def _main(self) -> None:
-        self._loop = asyncio.get_running_loop()
-        try:
-            await self.server.start()
-        finally:
-            self._started.set()
-        await self.server.wait_closed()
 
     def start(self) -> int:
         """Start serving; returns the bound port."""
+        port = self.server.start()
         self._thread.start()
-        if not self._started.wait(timeout=10):
-            raise RuntimeError("socket server failed to start in time")
-        if self._startup_error is not None:
-            raise self._startup_error
-        return self.server.port
+        return port
 
     def stop(self, timeout: float = 5.0) -> None:
-        if self._loop is not None and self._loop.is_running():
-            self._loop.call_soon_threadsafe(self.server.stop)
+        if self._thread.is_alive():
+            self.server.stop()
         self._thread.join(timeout=timeout)
 
 
 class SocketTransport(Transport):
     """Client half of the real-socket backend.
 
-    Synchronous facade over an asyncio TCP connection: each ``invoke``
-    writes one request frame and blocks for the matching reply.  The
-    connection is established lazily and re-established after any
-    failure, so a healed server is reachable again on the next call.
+    A blocking TCP connection: each ``invoke`` writes one request frame
+    and reads the matching reply.  The connection is established lazily
+    and re-established after any failure, so a healed server is
+    reachable again on the next call.
 
-    Retry semantics mirror :func:`repro.ipc.retry.retry_send`: with a
-    :class:`~repro.ipc.retry.RetryPolicy` installed, *send-phase*
-    failures (connect refused/timed out, request write failed — the
-    server never saw the op) back off and retry; a failure while waiting
-    for the reply means the op may have executed, so it is retried only
-    for ops declared idempotent.  Backoff here is wall-clock — there is
-    no virtual clock spanning two processes.
+    Failures map onto the transient-error taxonomy: a failed connect is
+    :class:`~repro.ipc.network.NetworkPartitionError`, a failed request
+    write or a connection that dies (or answers garbage) before the
+    reply is :class:`~repro.errors.NodeCrashedError`, and no reply
+    within ``reply_timeout_s`` is
+    :class:`~repro.errors.MessageDroppedError`.  With a
+    :class:`~repro.ipc.retry.RetryPolicy` installed, the send phase
+    (connect + write — the server never saw the op) is retried; a
+    failure while waiting for the reply means the op may have executed,
+    so the whole exchange is retried only for ops declared idempotent.
+    Backoff here is wall-clock — there is no virtual clock spanning two
+    processes.
     """
 
     def __init__(
@@ -404,63 +422,54 @@ class SocketTransport(Transport):
         self.retries = 0
         self.reconnects = 0
         self._seq = 0
-        self._reader: Optional[asyncio.StreamReader] = None
-        self._writer: Optional[asyncio.StreamWriter] = None
-        self._loop = asyncio.new_event_loop()
+        self._sock: Optional[socket.socket] = None
 
     # --- connection management ------------------------------------------
     def _disconnect(self) -> None:
-        if self._writer is not None:
-            try:
-                self._writer.close()
-            except Exception:
-                pass
-        self._reader = self._writer = None
+        if self._sock is not None:
+            self._sock.close()
+            self._sock = None
 
     def close(self) -> None:
         self._disconnect()
-        if not self._loop.is_closed():
-            # Let transport close callbacks run before the loop dies.
-            self._loop.run_until_complete(asyncio.sleep(0))
-            self._loop.close()
 
-    async def _ensure_connected(self) -> None:
-        if self._writer is not None:
-            return
+    def _connect(self) -> socket.socket:
         try:
-            self._reader, self._writer = await asyncio.wait_for(
-                asyncio.open_connection(self.host, self.port),
-                timeout=self.connect_timeout_s,
+            sock = socket.create_connection(
+                (self.host, self.port), timeout=self.connect_timeout_s
             )
-        except (asyncio.TimeoutError, OSError) as exc:
-            raise _send_phase(NetworkPartitionError(
+        except OSError as exc:
+            raise NetworkPartitionError(
                 f"connect to {self.host}:{self.port} failed: "
                 f"{type(exc).__name__}: {exc}"
-            )) from exc
+            ) from exc
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        sock.settimeout(self.reply_timeout_s)
         self.reconnects += 1
+        self._sock = sock
+        return sock
 
-    async def _exchange(self, kind: int, op: str, payload: Any) -> wire.Message:
-        """One request frame out, one reply frame in.  Raises transient
-        errors tagged with whether the failure was send-phase."""
-        await self._ensure_connected()
+    def _send(self, kind: int, op: str, payload: Any) -> None:
+        """The send phase: connect if needed and write one request
+        frame.  A failure here means the server never saw the request."""
+        sock = self._sock if self._sock is not None else self._connect()
         self._seq += 1
-        seq = self._seq
-        frame = wire.pack_frame(kind, seq, self.src, self.dst, op, payload)
+        frame = wire.pack_frame(kind, self._seq, self.src, self.dst, op, payload)
         try:
-            self._writer.write(frame)
-            await self._writer.drain()
-        except (asyncio.TimeoutError, OSError) as exc:
+            sock.sendall(frame)
+        except OSError as exc:
             self._disconnect()
-            raise _send_phase(NodeCrashedError(
+            raise NodeCrashedError(
                 f"request write to {self.dst!r} failed: {exc}"
-            )) from exc
+            ) from exc
         self.messages += 1
         self.bytes_out += len(frame)
+
+    def _receive(self, op: str) -> wire.Message:
+        """Read the reply to the request just sent."""
         try:
-            msg = await asyncio.wait_for(
-                wire.read_message(self._reader), timeout=self.reply_timeout_s
-            )
-        except asyncio.TimeoutError as exc:
+            msg = wire.recv_message(self._sock)
+        except socket.timeout as exc:
             self._disconnect()
             raise MessageDroppedError(
                 f"no reply from {self.dst!r} within "
@@ -477,38 +486,35 @@ class SocketTransport(Transport):
                 f"server {self.dst!r} closed the connection mid-invoke "
                 f"(op {op!r})"
             )
-        if msg.seq != seq:
+        if msg.seq != self._seq:
             self._disconnect()
             raise wire.WireError(
-                f"reply seq {msg.seq} does not match request seq {seq}"
+                f"reply seq {msg.seq} does not match request seq {self._seq}"
             )
         self.bytes_in += msg.nbytes
         return msg
 
+    def _exchange(self, kind: int, op: str, payload: Any) -> wire.Message:
+        self._send(kind, op, payload)
+        return self._receive(op)
+
     def _call(self, kind: int, op: str, payload: Any,
               idempotent: bool) -> wire.Message:
-        """Run one exchange with send-only (or idempotent) retries."""
+        """One exchange.  Under a retry policy the send phase is always
+        retried, the whole exchange only for idempotent ops."""
         policy = self.retry_policy
-        attempt = 0
-        waited_us = 0.0
-        while True:
-            try:
-                return self._loop.run_until_complete(
-                    self._exchange(kind, op, payload)
-                )
-            except TransientNetworkError as exc:
-                send_phase = getattr(exc, "_send_phase", False)
-                if (
-                    policy is None
-                    or not (send_phase or idempotent)
-                    or not policy.should_retry(attempt, waited_us, exc)
-                ):
-                    raise
-                backoff = policy.backoff_us(attempt)
-                time.sleep(backoff / 1e6)
-                waited_us += backoff
-                attempt += 1
-                self.retries += 1
+        if policy is None:
+            return self._exchange(kind, op, payload)
+        if idempotent:
+            return policy.run(
+                lambda: self._exchange(kind, op, payload), self._backoff
+            )
+        policy.run(lambda: self._send(kind, op, payload), self._backoff)
+        return self._receive(op)
+
+    def _backoff(self, backoff_us: float) -> None:
+        self.retries += 1
+        time.sleep(backoff_us / 1e6)
 
     # --- Transport surface ----------------------------------------------
     def send(self, src, dst, nbytes: int, checked: bool = True) -> None:
@@ -547,13 +553,6 @@ class SocketTransport(Transport):
 
     def describe(self) -> str:
         return f"SocketTransport({self.host}:{self.port})"
-
-
-def _send_phase(exc: TransientNetworkError) -> TransientNetworkError:
-    """Tag a transport error as send-phase: the server never saw the
-    request, so resending cannot double-execute anything."""
-    exc._send_phase = True
-    return exc
 
 
 class RemoteStub:

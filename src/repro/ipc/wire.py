@@ -26,6 +26,10 @@ exceptions.  Anything else is a :class:`WireEncodeError` — the wire is a
 typed contract, not a pickle: unpickling attacker-controlled bytes would
 execute code, while this decoder only ever builds plain data.
 
+The decoder is total: any bytes decode to a value or raise
+:class:`WireError` (bad UTF-8, wrong-shaped struct or exception fields
+and nesting past :data:`MAX_DEPTH` included).
+
 Exceptions cross the wire by *registered class name* (every
 :class:`~repro.errors.SpringError` subclass plus a whitelist of
 builtins) and are re-raised client-side as the same type; unknown server
@@ -35,8 +39,8 @@ name and message.
 
 from __future__ import annotations
 
-import asyncio
 import builtins
+import contextlib
 import dataclasses
 import struct
 from typing import Any, Callable, Dict, Optional, Tuple, Type
@@ -61,6 +65,10 @@ COMPOUND_OP = "*compound*"
 #: Upper bound on one frame body; a peer announcing more is treated as
 #: corrupt rather than trusted to allocate gigabytes.
 MAX_FRAME = 64 * 1024 * 1024
+
+#: Deepest container nesting a value may have; deeper payloads are
+#: refused on encode and rejected on decode (no recursion blow-ups).
+MAX_DEPTH = 64
 
 _LEN = struct.Struct("!I")
 _HEAD = struct.Struct("!2sBBI")
@@ -199,11 +207,13 @@ def exception_to_fields(exc: BaseException) -> dict:
 def exception_from_fields(fields: dict) -> BaseException:
     name = fields["type"]
     message = fields["message"]
+    code = fields.get("code", "EIO")
+    if not all(type(field) is str for field in (name, message, code)):
+        raise TypeError("exception type, message and code must be strings")
     cls = _exc_registry().get(name)
     if cls is None:
         return RemoteError(name, message)
     if cls is _errors.UnixError:
-        code = fields.get("code", "EIO")
         # UnixError renders as "[CODE] message"; strip the prefix its
         # __init__ will re-add so the round trip is stable.
         prefix = f"[{code}] "
@@ -234,7 +244,7 @@ def _encode_str(text: str, buf: bytearray) -> None:
     buf += raw
 
 
-def _encode(value: Any, buf: bytearray) -> None:
+def _encode(value: Any, buf: bytearray, depth: int = 0) -> None:
     if value is None:
         buf.append(_T_NONE)
     elif value is True:
@@ -264,11 +274,13 @@ def _encode(value: Any, buf: bytearray) -> None:
         buf += _U32.pack(len(raw))
         buf += raw
     elif type(value) is list or type(value) is tuple:
+        _check_depth(depth, WireEncodeError)
         buf.append(_T_LIST if type(value) is list else _T_TUPLE)
         buf += _U32.pack(len(value))
         for item in value:
-            _encode(item, buf)
+            _encode(item, buf, depth + 1)
     elif type(value) is dict:
+        _check_depth(depth, WireEncodeError)
         buf.append(_T_DICT)
         buf += _U32.pack(len(value))
         for key, item in value.items():
@@ -277,10 +289,10 @@ def _encode(value: Any, buf: bytearray) -> None:
                     f"dict keys must be str, got {type(key).__name__}"
                 )
             _encode_str(key, buf)
-            _encode(item, buf)
+            _encode(item, buf, depth + 1)
     elif isinstance(value, BaseException):
         buf.append(_T_EXC)
-        _encode(exception_to_fields(value), buf)
+        _encode(exception_to_fields(value), buf, depth)
     else:
         if not _STRUCTS:
             _register_builtin_structs()
@@ -288,16 +300,21 @@ def _encode(value: Any, buf: bytearray) -> None:
             if type(value) is cls:
                 buf.append(_T_STRUCT)
                 _encode_str(name, buf)
-                _encode(to_fields(value), buf)
+                _encode(to_fields(value), buf, depth)
                 return
         # Enums (e.g. FileType) degrade to their value.
         ivalue = getattr(value, "value", None)
         if isinstance(value, int) and type(ivalue) is int:
-            _encode(ivalue, buf)
+            _encode(ivalue, buf, depth)
             return
         raise WireEncodeError(
             f"type {type(value).__name__} cannot cross the wire"
         )
+
+
+def _check_depth(depth: int, error: type) -> None:
+    if depth >= MAX_DEPTH:
+        raise error(f"value nested deeper than MAX_DEPTH={MAX_DEPTH}")
 
 
 class _Reader:
@@ -322,10 +339,17 @@ class _Reader:
         return _U32.unpack(self.take(4))[0]
 
     def text(self) -> str:
-        return self.take(self.u32()).decode("utf-8")
+        return _utf8(self.take(self.u32()))
 
     def short_text(self) -> str:
-        return self.take(self.u16()).decode("utf-8")
+        return _utf8(self.take(self.u16()))
+
+
+def _utf8(raw: bytes) -> str:
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise WireError(f"invalid utf-8 in frame: {exc.reason}") from None
 
 
 def decode_value(data: bytes) -> Any:
@@ -336,7 +360,7 @@ def decode_value(data: bytes) -> Any:
     return value
 
 
-def _decode(r: _Reader) -> Any:
+def _decode(r: _Reader, depth: int = 0) -> Any:
     tag = r.take(1)[0]
     if tag == _T_NONE:
         return None
@@ -354,24 +378,33 @@ def _decode(r: _Reader) -> Any:
         return r.text()
     if tag == _T_BYTES:
         return r.take(r.u32())
-    if tag == _T_LIST:
-        return [_decode(r) for _ in range(r.u32())]
-    if tag == _T_TUPLE:
-        return tuple(_decode(r) for _ in range(r.u32()))
-    if tag == _T_DICT:
-        return {r.text(): _decode(r) for _ in range(r.u32())}
+    if tag == _T_LIST or tag == _T_TUPLE or tag == _T_DICT:
+        _check_depth(depth, WireError)
+        depth += 1
+        if tag == _T_DICT:
+            return {r.text(): _decode(r, depth) for _ in range(r.u32())}
+        items = [_decode(r, depth) for _ in range(r.u32())]
+        return items if tag == _T_LIST else tuple(items)
     if tag == _T_STRUCT:
-        name = r.text()
-        fields = _decode(r)
         if not _STRUCTS:
             _register_builtin_structs()
+        name = r.text()
         entry = _STRUCTS.get(name)
         if entry is None:
             raise WireError(f"unknown wire struct {name!r}")
-        return entry[2](fields)
-    if tag == _T_EXC:
-        return exception_from_fields(_decode(r))
-    raise WireError(f"unknown value tag 0x{tag:02x}")
+        build = entry[2]
+    elif tag == _T_EXC:
+        build = exception_from_fields
+    else:
+        raise WireError(f"unknown value tag 0x{tag:02x}")
+    fields = _decode(r, depth)
+    try:
+        return build(fields)
+    except Exception as exc:  # fields of the wrong shape: a bad frame
+        raise WireError(
+            f"malformed fields under tag 0x{tag:02x}: "
+            f"{type(exc).__name__}: {exc}"
+        ) from None
 
 
 # --- framing ----------------------------------------------------------------
@@ -424,18 +457,39 @@ def unpack_body(body: bytes) -> Message:
     return Message(kind, seq, src, dst, op, payload)
 
 
-async def read_message(reader: asyncio.StreamReader) -> Optional[Message]:
-    """Read one frame; None on clean EOF at a frame boundary."""
-    try:
-        prefix = await reader.readexactly(_LEN.size)
-    except asyncio.IncompleteReadError as exc:
-        if not exc.partial:
-            return None  # clean close between frames
-        raise WireError("connection closed inside a length prefix") from exc
+_NO_LOCK = contextlib.nullcontext()
+
+
+def recv_message(sock, lock=_NO_LOCK) -> Optional[Message]:
+    """Read one frame from a blocking socket; None on clean EOF at a
+    frame boundary.  EOF inside a frame is a :class:`WireError`; socket
+    errors and timeouts propagate as :class:`OSError`.  The body is
+    decoded holding ``lock`` (a server's dispatch lock), the wait for
+    its bytes is not."""
+    prefix = _recv_exactly(sock, _LEN.size)
+    if not prefix:
+        return None  # clean close between frames
+    if len(prefix) < _LEN.size:
+        raise WireError("connection closed inside a length prefix")
     (length,) = _LEN.unpack(prefix)
     if length > MAX_FRAME:
         raise WireError(f"announced frame body {length} exceeds MAX_FRAME")
-    body = await reader.readexactly(length)
-    message = unpack_body(body)
+    body = _recv_exactly(sock, length)
+    if len(body) < length:
+        raise WireError("connection closed inside a frame body")
+    with lock:
+        message = unpack_body(body)
     message.nbytes = _LEN.size + length
     return message
+
+
+def _recv_exactly(sock, n: int) -> bytes:
+    """``n`` bytes from ``sock``, or fewer if the peer closed first."""
+    chunks = []
+    while n:
+        chunk = sock.recv(n)
+        if not chunk:
+            break
+        chunks.append(chunk)
+        n -= len(chunk)
+    return b"".join(chunks)

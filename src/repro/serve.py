@@ -22,7 +22,6 @@ underneath is a real TCP connection.
 from __future__ import annotations
 
 import argparse
-import asyncio
 from typing import List, Optional
 
 from repro.fs.attributes import FileAttributes
@@ -208,16 +207,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     node.expose("fs", service)
     node.expose("control", Control(world, server))
 
-    async def amain() -> None:
-        port = await server.start()
-        print(
-            f"REPRO-SERVE READY host={args.host} port={port} "
-            f"stack={args.stack}",
-            flush=True,
-        )
-        await server.wait_closed()
-
-    asyncio.run(amain())
+    port = server.start()
+    print(
+        f"REPRO-SERVE READY host={args.host} port={port} "
+        f"stack={args.stack}",
+        flush=True,
+    )
+    server.serve_forever()
     print(
         f"REPRO-SERVE DONE ops={server.ops_served} "
         f"frames={server.frames_in}",

@@ -69,15 +69,18 @@ class Posix:
         self._next_fd = 3  # leave 0-2 for the traditional trio
 
     # ------------------------------------------------------------ resolution
-    def _split_parent(self, path: str):
+    @staticmethod
+    def _split_path(path: str):
+        """``(parent path, leaf)``; the parent path is "" at the root."""
         path = path.strip("/")
         if not path:
             raise UnixError("EINVAL", "empty path")
-        if "/" in path:
-            parent_path, leaf = path.rsplit("/", 1)
-            parent = self.root.resolve(parent_path)
-        else:
-            parent, leaf = self.root, path
+        parent_path, _, leaf = path.rpartition("/")
+        return parent_path, leaf
+
+    def _split_parent(self, path: str):
+        parent_path, leaf = self._split_path(path)
+        parent = self.root.resolve(parent_path) if parent_path else self.root
         context = narrow(parent, NamingContext)
         if context is None:
             raise UnixError("ENOTDIR", path)
@@ -233,12 +236,15 @@ class Posix:
 
     def rename(self, old: str, new: str) -> None:
         with self.domain.activate():
-            old_context, old_leaf = self._split_parent(old)
-            new_context, new_leaf = self._split_parent(new)
-            if old_context is not new_context:
+            # "Same directory" is decided on the parent path: two
+            # resolutions of one directory need not return one object.
+            old_parent, old_leaf = self._split_path(old)
+            new_parent, new_leaf = self._split_path(new)
+            if old_parent != new_parent:
                 raise UnixError("EXDEV", "cross-directory rename unsupported here")
+            context = self._split_parent(old)[0]
             try:
-                old_context.rename(old_leaf, new_leaf)
+                context.rename(old_leaf, new_leaf)
             except AttributeError:
                 raise UnixError("EROFS", "context cannot rename")
             except (NameNotFoundError, FileNotFoundError_):

@@ -43,19 +43,22 @@ class CacheObject(SpringObject, abc.ABC):
     def delete_range(self, offset: int, size: int) -> None:
         """Remove data from the cache — no data is returned."""
 
-    @abc.abstractmethod
+    # The next three complete the paper's interface, but no pager in
+    # this system drives them: the VMM's cache object implements them,
+    # file-system layers' cache objects do not.
     def zero_fill(self, offset: int, size: int) -> None:
         """Indicate that a particular range of the cache is zero-filled."""
+        raise NotImplementedError(f"{type(self).__name__}.zero_fill")
 
-    @abc.abstractmethod
     def populate(
         self, offset: int, size: int, access: AccessRights, data: bytes
     ) -> None:
         """Introduce data into the cache."""
+        raise NotImplementedError(f"{type(self).__name__}.populate")
 
-    @abc.abstractmethod
     def destroy_cache(self) -> None:
         """Tear down the cache; the channel is dead afterwards."""
+        raise NotImplementedError(f"{type(self).__name__}.destroy_cache")
 
     def held_blocks(self) -> Optional[Dict[int, Tuple[bool, bool]]]:
         """Report the pages this cache currently holds, as

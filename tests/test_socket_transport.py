@@ -2,10 +2,12 @@
 failure mapping, retries, and simulated/socket backend parity."""
 
 import socket
+import threading
 
 import pytest
 
 from repro.errors import (
+    MessageDroppedError,
     NodeCrashedError,
     TransientNetworkError,
     UnixError,
@@ -61,6 +63,29 @@ def closed_port() -> int:
     port = probe.getsockname()[1]
     probe.close()
     return port
+
+
+def raw_server(*handlers):
+    """A scripted peer: listens on a localhost port and hands the n-th
+    accepted connection to ``handlers[n]``.  Returns the port."""
+    listener = socket.create_server(("127.0.0.1", 0))
+
+    def run():
+        with listener:
+            for handle in handlers:
+                conn, _ = listener.accept()
+                with conn:
+                    conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+                    handle(conn)
+
+    threading.Thread(target=run, daemon=True).start()
+    return listener.getsockname()[1]
+
+
+def reply_to(conn, value="pong"):
+    """Read one request from ``conn``; return the full reply frame."""
+    msg = wire.recv_message(conn)
+    return wire.pack_frame(wire.REPLY, msg.seq, "raw", msg.src, msg.op, value)
 
 
 # --- wire format ------------------------------------------------------------
@@ -292,6 +317,95 @@ class TestFailureMapping:
             client.close()
 
 
+class TestBlockingWire:
+    def test_silent_server_is_dropped_message(self):
+        def never_reply(conn):
+            wire.recv_message(conn)
+            conn.recv(1)  # hold the connection until the client gives up
+
+        client = SocketTransport(
+            "127.0.0.1", raw_server(never_reply), reply_timeout_s=0.2
+        )
+        try:
+            with pytest.raises(MessageDroppedError):
+                client.invoke("c", "ping", ())
+        finally:
+            client.close()
+
+    def test_reply_trickled_one_byte_per_send(self):
+        def trickle(conn):
+            for byte in reply_to(conn, {"data": b"x" * 300, "n": 7}):
+                conn.send(bytes([byte]))
+
+        client = SocketTransport("127.0.0.1", raw_server(trickle))
+        try:
+            assert client.invoke("c", "get", ()) == {"data": b"x" * 300, "n": 7}
+        finally:
+            client.close()
+
+    def test_reply_cut_mid_body_then_reconnect(self):
+        def cut(conn):
+            frame = reply_to(conn, b"y" * 100)
+            conn.sendall(frame[: len(frame) // 2])
+
+        def whole(conn):
+            conn.sendall(reply_to(conn, b"y" * 100))
+
+        client = SocketTransport("127.0.0.1", raw_server(cut, whole))
+        try:
+            with pytest.raises(NodeCrashedError):
+                client.invoke("c", "get", ())
+            assert client.invoke("c", "get", ()) == b"y" * 100
+            assert client.reconnects == 2
+        finally:
+            client.close()
+
+    def test_two_connections_interleave(self, served):
+        clients = [served.client(), served.client()]
+        errors = []
+
+        def work(index, client):
+            fs = client.bind("fs")
+            try:
+                for round_ in range(40):
+                    body = f"{index}:{round_}".encode()
+                    fs.write_file(f"f{index}", body)
+                    assert fs.read_file(f"f{index}") == body
+            except Exception as exc:  # reported below, not lost in a thread
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=work, args=(index, client))
+            for index, client in enumerate(clients)
+        ]
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+        finally:
+            for client in clients:
+                client.close()
+        assert errors == []
+        assert sum(client.messages for client in clients) == 160
+        assert served.server.frames_in == served.server.frames_out == 160
+
+    def test_malformed_compound_gets_error_reply(self, served):
+        with socket.create_connection(("127.0.0.1", served.port)) as sock:
+            sock.sendall(wire.pack_frame(
+                wire.COMPOUND, 1, "raw", "server", wire.COMPOUND_OP, {}
+            ))
+            reply = wire.recv_message(sock)
+            assert reply.kind == wire.ERROR and reply.seq == 1
+            # The handler survived: the same connection still serves.
+            sock.sendall(wire.pack_frame(
+                wire.REQUEST, 2, "raw", "server", "ping",
+                {"target": "control", "args": [], "kwargs": {}},
+            ))
+            reply = wire.recv_message(sock)
+            assert (reply.kind, reply.payload) == (wire.REPLY, "pong")
+
+
 # --- backend parity ---------------------------------------------------------
 
 def run_script(fs, control):
@@ -413,6 +527,23 @@ class TestServerThread:
             client.close()
         finally:
             thread.stop()
+
+    def test_stop_closes_open_connections(self):
+        server = SocketServer({"c": Control(World())})
+        thread = ServerThread(server)
+        client = SocketTransport("127.0.0.1", thread.start(),
+                                 connect_timeout_s=0.5)
+        try:
+            assert client.bind("c").ping() == "pong"
+            thread.stop()
+            # A stopped server serves nothing: the live connection is
+            # closed under the client, and the listener is gone.
+            with pytest.raises(NodeCrashedError):
+                client.bind("c").ping()
+            with pytest.raises(NetworkPartitionError):
+                client.bind("c").ping()
+        finally:
+            client.close()
 
     def test_unknown_export_and_private_ops_rejected(self):
         from repro.errors import InvocationError, NameNotFoundError

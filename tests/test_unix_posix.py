@@ -159,6 +159,25 @@ class TestDirectories:
         with pytest.raises(UnixError):
             posix.stat("old")
 
+    def test_rename_inside_subdirectory(self, posix):
+        posix.mkdir("d")
+        fd = posix.open("d/a", O_CREAT | O_RDWR)
+        posix.write(fd, b"data")
+        posix.close(fd)
+        posix.rename("d/a", "d/b")
+        assert posix.listdir("d") == ["b"]
+        assert posix.stat("d/b").size == 4
+
+    def test_rename_across_directories_is_exdev(self, posix):
+        posix.mkdir("d")
+        posix.mkdir("e")
+        posix.close(posix.open("d/a", O_CREAT | O_RDWR))
+        for new in ("e/a", "a"):
+            with pytest.raises(UnixError) as err:
+                posix.rename("d/a", new)
+            assert err.value.code == "EXDEV"
+        assert posix.listdir("d") == ["a"]
+
     def test_stat_directory_is_eisdir(self, posix):
         posix.mkdir("d")
         with pytest.raises(UnixError) as err:
