@@ -38,6 +38,10 @@ Headline metrics:
   facts — the wall-clock RTT cells in the record are informational
   only; ``frames_batched`` carries zero tolerance because a compound
   batch over the wire is exactly one frame or the batching is broken.
+* ``BENCH_dirops.json`` — wall time of a create+unlink in a 1000-entry
+  directory over the same in a 10-entry one (the point of the resident
+  directories).  Both sides are timed in one run, so host speed
+  cancels; it still carries the wall-clock tolerance.
 
 Usage (from the repo root)::
 
@@ -114,6 +118,8 @@ HEADLINE = [
      "cells.batching.frames_individual", "lower", None),
     ("BENCH_socket.json", "benchmarks.bench_socket_transport",
      "cells.batching.frames_batched", "lower", 0.0),
+    ("BENCH_dirops.json", "benchmarks.bench_dirops",
+     "metrics.large_over_small", "lower", WALL_CLOCK_TOLERANCE),
 ]
 
 

@@ -742,6 +742,10 @@ class LayerDirectory(NamingContext):
         ]
 
     @operation
+    def list_names(self):
+        return self.under_context.list_names()
+
+    @operation
     def create_file(self, name: str) -> File:
         return self.layer.wrap_resolved(self.under_context.create_file(name))
 
@@ -1124,6 +1128,10 @@ class BaseLayer(StackableFs, CacheManager, abc.ABC):
             (name, self.wrap_resolved(obj, charge_open=False))
             for name, obj in self.under.list_bindings()
         ]
+
+    @operation
+    def list_names(self):
+        return self.under.list_names()
 
     @operation
     def create_file(self, name: str) -> File:

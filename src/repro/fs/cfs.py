@@ -109,6 +109,10 @@ class CfsContext(LayerDirectory):
     def list_bindings(self):
         return self.under_context.list_bindings()
 
+    @operation
+    def list_names(self):
+        return self.under_context.list_names()
+
 
 class CfsOps(ChannelOps):
     """CFS caches attributes only; data lives in the local VMM (which has
@@ -287,6 +291,10 @@ class CfsLayer(BaseLayer):
 
     @operation
     def list_bindings(self):
+        return []
+
+    @operation
+    def list_names(self):
         return []
 
 

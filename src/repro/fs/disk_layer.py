@@ -174,6 +174,10 @@ class DiskDirectory(NamingContext):
     def list_bindings(self) -> List[Tuple[str, object]]:
         return self._list_from(self.dir_ino)
 
+    @operation
+    def list_names(self) -> List[str]:
+        return self.layer.volume.list_names(self.dir_ino)
+
     # --- file management ------------------------------------------------------------
     @operation
     def create_file(self, name: str) -> File:
@@ -307,6 +311,10 @@ class DiskLayer(BaseLayer):
     @operation
     def list_bindings(self) -> List[Tuple[str, object]]:
         return self._root._list_from(self._root.dir_ino)
+
+    @operation
+    def list_names(self) -> List[str]:
+        return self.volume.list_names(self._root.dir_ino)
 
     @operation
     def create_file(self, name: str) -> File:

@@ -222,6 +222,10 @@ class WatchdogContext(NamingContext):
         return self.original.list_bindings()
 
     @operation
+    def list_names(self):
+        return self.original.list_names()
+
+    @operation
     def create_file(self, name: str) -> File:
         return self.original.create_file(name)
 

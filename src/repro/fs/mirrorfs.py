@@ -130,6 +130,10 @@ class MirrorDirectory(NamingContext):
         return self.under_contexts[0].list_bindings()
 
     @operation
+    def list_names(self):
+        return self.under_contexts[0].list_names()
+
+    @operation
     def create_file(self, name: str) -> File:
         return self.layer.wrap_resolved(
             [context.create_file(name) for context in self.under_contexts]
@@ -184,6 +188,10 @@ class MirrorFs(BaseLayer):
     @operation
     def list_bindings(self):
         return self._require_replicas()[0].list_bindings()
+
+    @operation
+    def list_names(self):
+        return self._require_replicas()[0].list_names()
 
     @operation
     def create_file(self, name: str) -> File:

@@ -137,6 +137,10 @@ class MonoDirectory(NamingContext):
         ]
 
     @operation
+    def list_names(self):
+        return self.fs.volume.list_names(self.dir_ino)
+
+    @operation
     def create_file(self, name: str) -> File:
         inode = self.fs.volume.create(self.dir_ino, name, FileType.REGULAR)
         return MonoFile(self.fs, inode.ino)
@@ -279,6 +283,10 @@ class MonolithicSfs(BaseLayer):
     @operation
     def list_bindings(self):
         return sorted(self.volume.readdir(self.volume.sb.root_ino).items())
+
+    @operation
+    def list_names(self):
+        return self.volume.list_names(self.volume.sb.root_ino)
 
     @operation
     def create_file(self, name: str) -> File:

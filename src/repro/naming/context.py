@@ -168,6 +168,12 @@ class NamingContext(SpringObject, abc.ABC):
     def list_bindings(self) -> List[Tuple[str, object]]:
         """All (name, object) pairs, sorted by name."""
 
+    def list_names(self) -> List[str]:
+        """All bound names, sorted — :meth:`list_bindings` without
+        building the objects.  Contexts that override ``list_bindings``
+        override this too, with the same invocation crossings."""
+        return [name for name, _ in self.list_bindings()]
+
 
 class MemoryContext(NamingContext):
     """The standard in-memory context implementation.

@@ -13,9 +13,12 @@ survives process restarts.
 Caching policy mirrors the paper's description of the disk layer:
 
 * "The disk layer maintains its own cache to handle open and stat
-  operations without requiring disk I/Os" — the i-node table and a
-  dentry cache are memory-resident (plus a write-back metadata buffer
-  cache for bitmap and indirect blocks);
+  operations without requiring disk I/Os" — the i-node table, a
+  dentry cache and the parsed form of every directory touched since
+  mount are memory-resident (plus a write-back metadata buffer cache
+  for bitmap and indirect blocks).  Resident directories save parsing
+  CPU only: a directory access still reads, and a change still
+  rewrites, the directory's blocks, which is its modelled cost;
 * "but reads and writes to the disk layer do require disk I/Os" — file
   *data* blocks are never cached here.  Data caching belongs to the
   coherency layer and the VMMs above.
@@ -47,7 +50,7 @@ from repro.errors import (
 )
 from repro.storage.allocator import BlockAllocator
 from repro.storage.block_device import BlockDevice
-from repro.storage.directory import pack_entries, unpack_entries
+from repro.storage.directory import Directory, encode_name
 from repro.storage.inode import INODE_SIZE, NUM_DIRECT, FileType, Inode
 from repro.storage.layout import STATE_CLEAN, STATE_DIRTY, SuperBlock
 
@@ -68,8 +71,11 @@ class Volume:
         # while preserving exact first-fit lowest-free semantics.
         self._ino_free: List[int] = [0] * len(self._groups)
         self._ino_hint: List[int] = [0] * len(self._groups)
-        # Dentry cache: (dir_ino, name) -> ino.
+        # Dentry cache: (dir_ino, name) -> ino.  Invariant: every dentry
+        # names a live entry of its directory.
         self._dentries: Dict[Tuple[int, str], int] = {}
+        # Resident directories: dir_ino -> parsed form (see directory.py).
+        self._dirs: Dict[int, Directory] = {}
         # Metadata buffer cache (bitmap + indirect blocks only).
         self._meta: Dict[int, bytearray] = {}
         self._dirty_meta: Set[int] = set()
@@ -554,42 +560,58 @@ class Volume:
         self._set_pointer(level1, inner, device_block)
 
     # ----------------------------------------------------------------- directories
-    def _dir_entries(self, dir_ino: int) -> Dict[str, int]:
+    def _dir(self, dir_ino: int) -> Directory:
+        """The resident form of a directory.  Every call still reads the
+        directory's blocks — that I/O is the modelled cost of a directory
+        scan — but only the first one after mount parses them."""
         inode = self.iget(dir_ino)
         if not inode.is_dir:
             raise NotADirectoryError_(f"i-node {dir_ino} is not a directory")
-        return unpack_entries(self.read_data(dir_ino, 0, inode.size))
+        raw = self.read_data(dir_ino, 0, inode.size)
+        directory = self._dirs.get(dir_ino)
+        if directory is None:
+            directory = self._dirs[dir_ino] = Directory.parse(raw)
+        return directory
 
-    def _write_dir(self, dir_ino: int, entries: Dict[str, int]) -> None:
-        packed = pack_entries(entries)
-        self.truncate(dir_ino, 0)
-        if packed:
-            self.write_data(dir_ino, 0, packed)
+    def _write_dir(self, dir_ino: int, directory: Directory) -> None:
+        packed = directory.pack()
+        try:
+            self.truncate(dir_ino, 0)
+            if packed:
+                self.write_data(dir_ino, 0, packed)
+        except BaseException:
+            # The device holds whatever part of the rewrite landed:
+            # re-parse it on the next access rather than trust memory.
+            self._dirs.pop(dir_ino, None)
+            raise
 
     def lookup(self, dir_ino: int, name: str) -> int:
         """Name -> i-node within a directory, through the dentry cache."""
         cached = self._dentries.get((dir_ino, name))
         if cached is not None:
             return cached
-        entries = self._dir_entries(dir_ino)
-        try:
-            ino = entries[name]
-        except KeyError:
+        ino = self._dir(dir_ino).inos.get(name)
+        if ino is None:
             raise FileNotFoundError_(f"{name!r} not found in directory {dir_ino}")
         self._dentries[(dir_ino, name)] = ino
         return ino
 
     def readdir(self, dir_ino: int) -> Dict[str, int]:
-        return self._dir_entries(dir_ino)
+        return dict(self._dir(dir_ino).inos)
+
+    def list_names(self, dir_ino: int) -> List[str]:
+        """A directory's names in sorted order (same I/O as :meth:`readdir`)."""
+        return list(self._dir(dir_ino).names)
 
     def create(self, dir_ino: int, name: str, ftype: FileType) -> Inode:
-        entries = self._dir_entries(dir_ino)
-        if name in entries:
+        directory = self._dir(dir_ino)
+        if name in directory.inos:
             raise FileExistsError_(f"{name!r} already exists in directory {dir_ino}")
+        encode_name(name)  # validate before allocating
         inode = self._alloc_inode(ftype, parent_ino=dir_ino)
         inode.nlink = 1
-        entries[name] = inode.ino
-        self._write_dir(dir_ino, entries)
+        directory.add(name, inode.ino)
+        self._write_dir(dir_ino, directory)
         self._dentries[(dir_ino, name)] = inode.ino
         return inode
 
@@ -598,21 +620,26 @@ class Volume:
     ) -> List[int]:
         """Bulk create: allocate one i-node per name and rewrite the
         directory ONCE — the ingest path for building large trees
-        (benchmarks, migration tools) without the per-create directory
-        rewrite going quadratic."""
-        entries = self._dir_entries(dir_ino)
-        inos: List[int] = []
+        (benchmarks, migration tools).  Every name is checked before
+        the first i-node is allocated."""
+        directory = self._dir(dir_ino)
+        seen: Set[str] = set()
         for name in names:
-            if name in entries:
+            if name in directory.inos or name in seen:
                 raise FileExistsError_(
                     f"{name!r} already exists in directory {dir_ino}"
                 )
+            encode_name(name)
+            seen.add(name)
+        inos: List[int] = []
+        for name in names:
             inode = self._alloc_inode(ftype, parent_ino=dir_ino)
             inode.nlink = 1
-            entries[name] = inode.ino
-            self._dentries[(dir_ino, name)] = inode.ino
+            directory.add(name, inode.ino)
             inos.append(inode.ino)
-        self._write_dir(dir_ino, entries)
+        self._write_dir(dir_ino, directory)
+        for name, ino in zip(names, inos):
+            self._dentries[(dir_ino, name)] = ino
         return inos
 
     def link(self, dir_ino: int, name: str, target_ino: int) -> None:
@@ -620,58 +647,72 @@ class Volume:
         target = self.iget(target_ino)
         if target.is_dir:
             raise IsADirectoryError_("hard links to directories are not allowed")
-        entries = self._dir_entries(dir_ino)
-        if name in entries:
+        directory = self._dir(dir_ino)
+        if name in directory.inos:
             raise FileExistsError_(f"{name!r} already exists")
-        entries[name] = target_ino
-        self._write_dir(dir_ino, entries)
+        directory.add(name, target_ino)
+        self._write_dir(dir_ino, directory)
         target.nlink += 1
         target.ctime_us = self._now()
         self.mark_dirty(target_ino)
         self._dentries[(dir_ino, name)] = target_ino
 
     def unlink(self, dir_ino: int, name: str) -> None:
-        entries = self._dir_entries(dir_ino)
-        try:
-            ino = entries.pop(name)
-        except KeyError:
+        directory = self._dir(dir_ino)
+        ino = directory.inos.get(name)
+        if ino is None:
             raise FileNotFoundError_(f"{name!r} not found in directory {dir_ino}")
         inode = self.iget(ino)
-        if inode.is_dir and self._dir_entries(ino):
+        if inode.is_dir and self._dir(ino).inos:
             raise DirectoryNotEmptyError(f"directory {name!r} is not empty")
-        self._write_dir(dir_ino, entries)
+        directory.remove(name)
+        self._write_dir(dir_ino, directory)
         self._dentries.pop((dir_ino, name), None)
         inode.nlink -= 1
         inode.ctime_us = self._now()
         self.mark_dirty(ino)
         if inode.nlink == 0:
+            # The popped dentry was this i-node's last: every dentry
+            # names a live directory entry, and the last one just went.
             self._free_inode(inode)
 
     def rename(
         self, src_dir: int, src_name: str, dst_dir: int, dst_name: str
     ) -> None:
-        src_entries = self._dir_entries(src_dir)
-        if src_name not in src_entries:
+        source = self._dir(src_dir)
+        ino = source.inos.get(src_name)
+        if ino is None:
             raise FileNotFoundError_(f"{src_name!r} not found")
-        dst_entries = (
-            src_entries if dst_dir == src_dir else self._dir_entries(dst_dir)
-        )
-        if dst_name in dst_entries and dst_entries[dst_name] != src_entries[src_name]:
-            raise FileExistsError_(f"{dst_name!r} already exists")
-        ino = src_entries.pop(src_name)
-        dst_entries[dst_name] = ino
-        self._write_dir(src_dir, src_entries)
-        if dst_dir != src_dir:
-            self._write_dir(dst_dir, dst_entries)
+        target = source if dst_dir == src_dir else self._dir(dst_dir)
+        existing = target.inos.get(dst_name)
+        if existing is not None:
+            if existing != ino:
+                raise FileExistsError_(f"{dst_name!r} already exists")
+            return  # both names are links to one file: POSIX does nothing
+        target.add(dst_name, ino)  # validates the name before any change
+        source.remove(src_name)
+        try:
+            self._write_dir(src_dir, source)
+            if dst_dir != src_dir:
+                self._write_dir(dst_dir, target)
+        except BaseException:
+            self._dirs.pop(dst_dir, None)
+            raise
         self._dentries.pop((src_dir, src_name), None)
         self._dentries[(dst_dir, dst_name)] = ino
 
-    def _free_inode(self, inode: Inode) -> None:
+    def _free_inode(self, inode: Inode, guarded: bool = False) -> None:
+        """Free an i-node's blocks and the i-node itself.  ``guarded``
+        tolerates blocks the bitmap never recorded — the post-crash
+        states fsck repairs."""
         assert self.allocator is not None
+        allocator = self.allocator
         for _, device_block in self._mapped_blocks(inode):
-            self.allocator.free(device_block)
+            if not guarded or allocator.is_allocated(device_block):
+                allocator.free(device_block)
         for meta_block in self._metadata_blocks(inode):
-            self.allocator.free(meta_block)
+            if not guarded or allocator.is_allocated(meta_block):
+                allocator.free(meta_block)
             self._meta.pop(meta_block, None)
             self._dirty_meta.discard(meta_block)
         inode.type = FileType.FREE
@@ -685,9 +726,7 @@ class Volume:
         if local < self._ino_hint[gi]:
             self._ino_hint[gi] = local
         self.mark_dirty(inode.ino)
-        stale = [key for key, value in self._dentries.items() if value == inode.ino]
-        for key in stale:
-            del self._dentries[key]
+        self._dirs.pop(inode.ino, None)
 
     # -------------------------------------------------------------------- sync
     def sync(self) -> int:
@@ -827,7 +866,7 @@ class Volume:
                 continue
             visited.add(dir_ino)
             try:
-                entries = self._dir_entries(dir_ino)
+                entries = self._dir(dir_ino).inos
             except StorageError as exc:
                 problems.append(f"ino {dir_ino}: unreadable directory: {exc}")
                 continue
@@ -888,9 +927,13 @@ class Volume:
             self._set_mapping(inode, file_block, fresh)
         # 3. Release orphaned i-nodes (allocated, zero references):
         #    their blocks go back to the free pool.
+        #    A damaged tree may leave dentries naming them: sweep those.
         for inode in orphans:
             inode.nlink = 0
-            self._free_inode_guarded(inode)
+            self._free_inode(inode, guarded=True)
+            stale = [k for k, ino in self._dentries.items() if ino == inode.ino]
+            for key in stale:
+                del self._dentries[key]
         # 4. Free leaked blocks — after orphan release so a block both
         #    leaked and orphan-owned is freed exactly once.
         for block in leaked:
@@ -898,10 +941,10 @@ class Volume:
                 self.allocator.free(block)
         # 5. Prune dangling directory entries.
         for dir_ino, name in dangling:
-            entries = self._dir_entries(dir_ino)
-            if name in entries:
-                del entries[name]
-                self._write_dir(dir_ino, entries)
+            directory = self._dir(dir_ino)
+            if name in directory.inos:
+                directory.remove(name)
+                self._write_dir(dir_ino, directory)
             self._dentries.pop((dir_ino, name), None)
         # 6. Correct link counts.
         for inode, count in nlink_fixes:
@@ -909,30 +952,3 @@ class Volume:
             self.mark_dirty(inode.ino)
         self.sync()
         self.was_clean = True
-
-    def _free_inode_guarded(self, inode: Inode) -> None:
-        """:meth:`_free_inode`, but tolerant of blocks the bitmap never
-        recorded — the post-crash states fsck repairs."""
-        assert self.allocator is not None
-        for _, device_block in self._mapped_blocks(inode):
-            if self.allocator.is_allocated(device_block):
-                self.allocator.free(device_block)
-        for meta_block in self._metadata_blocks(inode):
-            if self.allocator.is_allocated(meta_block):
-                self.allocator.free(meta_block)
-            self._meta.pop(meta_block, None)
-            self._dirty_meta.discard(meta_block)
-        inode.type = FileType.FREE
-        inode.size = 0
-        inode.direct = [0] * NUM_DIRECT
-        inode.indirect = 0
-        inode.dbl_indirect = 0
-        gi = self.sb.group_of_ino(inode.ino)
-        self._ino_free[gi] += 1
-        local = inode.ino - self._groups[gi].ino_base
-        if local < self._ino_hint[gi]:
-            self._ino_hint[gi] = local
-        self.mark_dirty(inode.ino)
-        stale = [key for key, value in self._dentries.items() if value == inode.ino]
-        for key in stale:
-            del self._dentries[key]

@@ -232,7 +232,7 @@ class Posix:
             context = narrow(obj, NamingContext)
             if context is None:
                 raise UnixError("ENOTDIR", path)
-            return [name for name, _ in context.list_bindings()]
+            return context.list_names()
 
     def rename(self, old: str, new: str) -> None:
         with self.domain.activate():

@@ -11,6 +11,7 @@ from repro.fs.cfs import start_cfs
 from repro.fs.compfs import CompFs
 from repro.fs.cryptfs import CryptFs
 from repro.fs.dfs import export_dfs, mount_remote
+from repro.fs.interposer import WatchdogContext
 from repro.fs.mirrorfs import MirrorFs
 from repro.fs.nullfs import NullFs
 from repro.fs.quotafs import QuotaFs
@@ -69,6 +70,16 @@ def _stack(kind: str):
         with cu.activate():
             root = client.fs_context.resolve("dfs@server".replace("server", node.name))
         return root, cu
+    if kind == "cfs":
+        client = world.create_node("client")
+        export_dfs(node, sfs.top)
+        mount_remote(client, node, "dfs")
+        cu = world.create_user_domain(client, "cu")
+        with cu.activate():
+            remote = client.fs_context.resolve(f"dfs@{node.name}")
+        return start_cfs(client).wrap_resolved(remote), cu
+    if kind == "watchdog":
+        return WatchdogContext(node.create_domain("wd"), sfs.top), user
     raise ValueError(kind)
 
 
@@ -133,3 +144,29 @@ class TestSameWorkloadEverywhere:
             fd = posix.open(f"f{i}.dat", O_RDONLY)
             assert posix.read(fd, 200) == pattern_bytes(100 + i, tag=i)
             posix.close(fd)
+
+
+@pytest.mark.parametrize("kind", KINDS + ["cfs", "watchdog"])
+def test_list_names_matches_list_bindings(kind):
+    root, user = _stack(kind)
+    posix = Posix(root, user)
+    for name in ("b.dat", "a.dat", "c.dat"):
+        posix.close(posix.open(name, O_RDWR | O_CREAT))
+    contexts = [root]
+    if kind != "watchdog":  # a watchdog context cannot create directories
+        contexts.append(posix.mkdir("sub"))
+        posix.close(posix.open("sub/x.dat", O_RDWR | O_CREAT))
+        assert posix.listdir("sub") == ["x.dat"]
+    with user.activate():
+        for context in contexts:
+            names = [name for name, _ in context.list_bindings()]
+            assert context.list_names() == names
+    assert posix.listdir()[:3] == ["a.dat", "b.dat", "c.dat"]
+
+
+def test_cfs_layer_lists_no_names():
+    world = World()
+    node = world.create_node("n")
+    cfs = start_cfs(node)
+    with world.create_user_domain(node).activate():
+        assert cfs.list_names() == [n for n, _ in cfs.list_bindings()] == []

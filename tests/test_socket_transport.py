@@ -9,6 +9,7 @@ import pytest
 from repro.errors import (
     MessageDroppedError,
     NodeCrashedError,
+    StorageError,
     TransientNetworkError,
     UnixError,
 )
@@ -180,6 +181,19 @@ class TestSocketRoundTrip:
             assert excinfo.value.code == "ENOENT"
         finally:
             client.close()
+
+    def test_overlong_name_is_typed_and_leaks_nothing(self, served):
+        client = served.client()
+        try:
+            fs = client.bind("fs")
+            fs.mkdir("d")
+            with pytest.raises(StorageError):
+                fs.write_file("d/" + "x" * 300, b"hi")
+            assert fs.listdir("d") == []
+        finally:
+            client.close()
+        (volume,) = served.world._volumes
+        assert volume.fsck() == []
 
     def test_ping_send_surface(self, served):
         client = served.client()
