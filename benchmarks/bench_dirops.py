@@ -38,7 +38,7 @@ ensure_repo_on_path()
 from repro.fs.sfs import create_sfs
 from repro.serve import FileService
 from repro.storage.block_device import BlockDevice
-from repro.unix.posixlike import O_CREAT, O_WRONLY, Posix
+from repro.unix.posixlike import O_CREAT, O_WRONLY
 from repro.world import World
 
 FILENAME = "BENCH_dirops.json"
@@ -54,7 +54,7 @@ def _service(entries: int) -> FileService:
     world = World()
     node = world.create_node("bench")
     stack = create_sfs(node, BlockDevice(node.nucleus, "sd0", 4096))
-    fs = FileService(Posix(stack.top, world.create_user_domain(node)))
+    fs = FileService(stack.top, world.create_user_domain(node))
     fs.mkdir("d")
     volume = stack.volume
     d_ino = volume.lookup(volume.sb.root_ino, "d")

@@ -65,7 +65,7 @@ def measure_simulated() -> dict:
     for name, nbytes in (("small", SMALL_BYTES), ("page", PAGE_BYTES)):
         start = world.clock.now_us
         for _ in range(PINGS):
-            world.network.send(a, b, nbytes)
+            world.network.transfer(a, b, nbytes)
         cells[f"per_message_{name}_us"] = round(
             (world.clock.now_us - start) / PINGS, 3
         )

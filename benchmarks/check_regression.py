@@ -34,7 +34,7 @@ Headline metrics:
   i-node-table scan, and the clean-unmount flush must stay bounded.
 * ``BENCH_socket.json`` — simulated per-message virtual cost and the
   real-socket compound-batching frame counts (the point of the
-  transport-seam work).  The gated metrics are deterministic protocol
+  real-socket transport work).  The gated metrics are deterministic protocol
   facts — the wall-clock RTT cells in the record are informational
   only; ``frames_batched`` carries zero tolerance because a compound
   batch over the wire is exactly one frame or the batching is broken.

@@ -68,10 +68,6 @@ class CfsFileState(LayerFileState):
     def remote_file(self) -> File:
         return self.under_file
 
-    @property
-    def remote_key(self):
-        return self.under_key
-
 
 class CfsFile(LayerFile):
     """The locally implemented stand-in for a remote file."""
@@ -237,6 +233,11 @@ class CfsLayer(BaseLayer):
             # Growth must go to the authority (the remote file) so other
             # clients observe it.  The server's invalidation fan-out may
             # drop our attribute cache during this call — refetch after.
+            # DFS also invalidates every holder's pages from the new
+            # length on, which includes the page holding our dirty bytes
+            # below it, so write the mapping's dirty pages back first.
+            if state.mapping is not None:
+                state.mapping.cache.sync()
             state.remote_file.set_length(end)
             self.cached_attrs(state)
             state.attrs.set_size(end)

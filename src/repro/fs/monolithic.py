@@ -282,7 +282,12 @@ class MonolithicSfs(BaseLayer):
 
     @operation
     def list_bindings(self):
-        return sorted(self.volume.readdir(self.volume.sb.root_ino).items())
+        return [
+            (entry, self._make_handle(ino, charge_open=False))
+            for entry, ino in sorted(
+                self.volume.readdir(self.volume.sb.root_ino).items()
+            )
+        ]
 
     @operation
     def list_names(self):

@@ -203,9 +203,7 @@ def operation(fn: F) -> F:
                 path = "network"
                 policy = world.retry_policy
                 if policy is None:
-                    # Through the transport seam: the simulated backend
-                    # delegates straight to Network.transfer.
-                    world.network.send(
+                    world.network.transfer(
                         caller.node, server.node, request_bytes
                     )
                 else:
@@ -213,7 +211,7 @@ def operation(fn: F) -> F:
                     # failure means the op body never ran server-side.
                     src, dst = caller.node, server.node
                     policy.run(
-                        lambda: world.network.send(src, dst, request_bytes),
+                        lambda: world.network.transfer(src, dst, request_bytes),
                         lambda us: world.clock.advance(us, "retry_backoff"),
                         functools.partial(_note_retry, world, self, dst),
                     )

@@ -6,6 +6,10 @@ invocation, counts messages and bytes per node pair, and supports
 failure injection — ad-hoc partitions for tests, or a full scripted
 :class:`repro.sim.faults.FaultPlane` (drops, delays, duplicates,
 crashes) installed via :meth:`repro.world.World.install_fault_plan`.
+
+The invocation, retry and compound layers call :meth:`Network.transfer`
+directly.  Real bytes between OS processes never pass through here:
+they travel as stub calls over :mod:`repro.ipc.transport`.
 """
 
 from __future__ import annotations
@@ -39,37 +43,15 @@ class Network:
         self._partitions: Set[FrozenSet[str]] = set()
         #: Scripted failure schedule; None = no faults (the default).
         self.fault_plane: Optional["FaultPlane"] = None
-        #: The message plane behind this network (see
-        #: :mod:`repro.ipc.transport`).  The default simulated transport
-        #: routes :meth:`send` straight back into :meth:`transfer`, so
-        #: simulation stays byte-identical; installing a different
-        #: transport redirects every invocation-layer send.
-        from repro.ipc.transport import SimulatedTransport
-
-        self.transport = SimulatedTransport(self)
-
-    def install_transport(self, transport) -> None:
-        """Replace the message plane (see :class:`repro.ipc.transport.Transport`)."""
-        self.transport = transport
 
     # --- traffic ----------------------------------------------------------
-    def send(
-        self, src: "Node", dst: "Node", nbytes: int, checked: bool = True
-    ) -> None:
-        """One request message via the installed transport — the seam
-        the invocation, retry, and compound layers send through.  With
-        the default :class:`~repro.ipc.transport.SimulatedTransport`
-        this is exactly :meth:`transfer`."""
-        self.transport.send(src, dst, nbytes, checked=checked)
-
     def transfer(
         self, src: "Node", dst: "Node", nbytes: int, checked: bool = True
     ) -> None:
         """One request message from ``src`` to ``dst`` carrying ``nbytes``.
 
         Charges a full round trip (the reply's latency is part of the
-        RTT); reply payload is charged separately via :meth:`payload`.
-        With ``checked=False`` the reachability check and per-message
+        RTT); reply payload is charged separately via :meth:`payload`.        With ``checked=False`` the reachability check and per-message
         fault effects are skipped — used by the compound layer to charge
         sends whose delivery was already validated when each sub-op was
         absorbed (see :meth:`repro.ipc.compound.CompoundRegion.flush`).

@@ -1,21 +1,18 @@
-"""The transport seam: simulated and real-socket message planes.
+"""Stubs over two backends: in-process dispatch and real sockets.
 
 The paper's network proxies let the same invocation cross a real machine
-boundary; our :class:`~repro.ipc.network.Network` has so far only
-*simulated* that crossing (virtual-clock costs, no bytes).  This module
-makes the message plane pluggable:
+boundary.  Simulated cross-node costs are :class:`~repro.ipc.network.Network`'s
+business and never pass through this module; here, stubs are the
+transport surface:
 
-* :class:`Transport` — the seam.  ``send`` is the message-plane surface
-  :class:`~repro.ipc.network.Network` routes through (one request
-  message, sized in bytes); ``invoke`` / ``invoke_compound`` carry the
-  operation surface stubs use, so client code is identical against both
-  backends.
+* :class:`Transport` — ``invoke`` / ``invoke_compound`` carry the
+  operation surface :class:`RemoteStub`\\ s use, so client code is
+  identical against both backends.
 
-* :class:`SimulatedTransport` — the default, installed by every
-  ``Network``.  ``send`` delegates straight back to
-  :meth:`Network.transfer`, so the simulated world is byte-identical to
-  the pre-seam behaviour; ``invoke`` dispatches directly to exported
-  objects in-process (used by the backend-parity tests and benchmarks).
+* :class:`SimulatedTransport` — ``invoke`` dispatches directly to
+  exported objects in-process (used by the backend-parity tests and
+  benchmarks); any simulated invocation costs are charged by the ops
+  themselves.
 
 * :class:`SocketServer` / :class:`SocketTransport` — a real TCP pair of
   plain blocking sockets speaking the :mod:`repro.ipc.wire` framing
@@ -55,7 +52,7 @@ from repro.ipc.network import NetworkPartitionError
 
 #: Reserved op the socket transport's ``send`` uses: the server replies
 #: None without touching any export — a pure round trip carrying the
-#: request's payload bytes (the socket analogue of ``Network.transfer``).
+#: request's payload bytes.
 PING_OP = "*ping*"
 
 #: Compound outcome statuses on the transport surface.
@@ -116,16 +113,7 @@ class ExportRegistry:
 
 
 class Transport:
-    """Abstract message plane.  See module docstring."""
-
-    def send(self, src, dst, nbytes: int, checked: bool = True) -> None:
-        """Deliver one request message of ``nbytes`` from ``src`` to
-        ``dst`` (node objects or node names, backend-dependent)."""
-        raise NotImplementedError
-
-    def payload(self, src, dst, nbytes: int) -> None:
-        """Additional reply payload riding an already-sent exchange."""
-        raise NotImplementedError
+    """Abstract stub backend.  See module docstring."""
 
     def invoke(
         self, target: str, op: str, args: Sequence = (),
@@ -135,7 +123,7 @@ class Transport:
 
     def invoke_compound(
         self, calls: Sequence[Tuple[str, str, Sequence, dict]],
-        fail_fast: bool = True, idempotent: bool = False,
+        fail_fast: bool = True,
     ) -> List[Tuple[str, Any]]:
         raise NotImplementedError
 
@@ -151,30 +139,18 @@ class Transport:
 
 
 class SimulatedTransport(Transport):
-    """The in-process backend: costs move, bytes don't.
+    """The in-process backend: ``invoke`` dispatches directly to
+    exported objects (any simulated invocation costs are charged by the
+    ops themselves, exactly as for a local caller)."""
 
-    ``send``/``payload`` delegate to the owning
-    :class:`~repro.ipc.network.Network`'s transfer/payload accounting —
-    the pre-seam code path, unchanged — while ``invoke`` dispatches
-    directly to exported objects (any simulated invocation costs are
-    charged by the ops themselves, exactly as for a local caller).
-    """
-
-    def __init__(self, network, exports: Optional[Dict[str, Any]] = None,
+    def __init__(self, exports: Optional[Dict[str, Any]] = None,
                  registry: Optional[ExportRegistry] = None) -> None:
-        self.network = network
         self.registry = registry or ExportRegistry(exports)
-
-    def send(self, src, dst, nbytes: int, checked: bool = True) -> None:
-        self.network.transfer(src, dst, nbytes, checked=checked)
-
-    def payload(self, src, dst, nbytes: int) -> None:
-        self.network.payload(src, dst, nbytes)
 
     def invoke(self, target, op, args=(), kwargs=None, idempotent=False):
         return self.registry.call(target, op, args, kwargs or {})
 
-    def invoke_compound(self, calls, fail_fast=True, idempotent=False):
+    def invoke_compound(self, calls, fail_fast=True):
         return self.registry.run_compound(calls, fail_fast)
 
 
@@ -517,15 +493,11 @@ class SocketTransport(Transport):
         time.sleep(backoff_us / 1e6)
 
     # --- Transport surface ----------------------------------------------
-    def send(self, src, dst, nbytes: int, checked: bool = True) -> None:
-        """One real round trip carrying ``nbytes`` of payload — the
-        socket analogue of :meth:`Network.transfer` (src/dst are fixed
-        by the connection; the arguments are accepted for surface
-        compatibility)."""
+    def send(self, src, dst, nbytes: int) -> None:
+        """One real round trip carrying ``nbytes`` of payload: a ping
+        the server answers without touching any export (``src``/``dst``
+        are fixed by the connection and ignored)."""
         self._call(wire.REQUEST, PING_OP, b"\x00" * nbytes, idempotent=True)
-
-    def payload(self, src, dst, nbytes: int) -> None:
-        """Reply payloads ride the real reply frames; nothing to do."""
 
     def invoke(self, target, op, args=(), kwargs=None, idempotent=False):
         msg = self._call(
@@ -537,7 +509,7 @@ class SocketTransport(Transport):
             raise msg.payload
         return msg.payload
 
-    def invoke_compound(self, calls, fail_fast=True, idempotent=False):
+    def invoke_compound(self, calls, fail_fast=True):
         payload = {
             "fail_fast": fail_fast,
             "calls": [
@@ -546,7 +518,7 @@ class SocketTransport(Transport):
                 for target, op, args, kwargs in calls
             ],
         }
-        msg = self._call(wire.COMPOUND, wire.COMPOUND_OP, payload, idempotent)
+        msg = self._call(wire.COMPOUND, wire.COMPOUND_OP, payload, False)
         if msg.kind == wire.ERROR:
             raise msg.payload
         return [(entry["status"], entry["value"]) for entry in msg.payload]

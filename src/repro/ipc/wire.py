@@ -231,9 +231,9 @@ def exception_from_fields(fields: dict) -> BaseException:
 
 # --- value encoding ---------------------------------------------------------
 
-def encode_value(value: Any, out: Optional[bytearray] = None) -> bytes:
+def encode_value(value: Any) -> bytes:
     """Encode one payload value into wire bytes."""
-    buf = bytearray() if out is None else out
+    buf = bytearray()
     _encode(value, buf)
     return bytes(buf)
 
@@ -427,15 +427,20 @@ class Message:
 def pack_frame(
     kind: int, seq: int, src: str, dst: str, op: str, payload: Any
 ) -> bytes:
-    body = bytearray(_HEAD.pack(MAGIC, VERSION, kind, seq))
+    # The length prefix is reserved up front and filled in last, so the
+    # frame is built in one buffer and copied out once.
+    frame = bytearray(_LEN.size)
+    frame += _HEAD.pack(MAGIC, VERSION, kind, seq)
     for text in (src, dst, op):
         raw = text.encode("utf-8")
-        body += _U16.pack(len(raw))
-        body += raw
-    encode_value(payload, body)
-    if len(body) > MAX_FRAME:
-        raise WireEncodeError(f"frame body {len(body)} exceeds MAX_FRAME")
-    return _LEN.pack(len(body)) + bytes(body)
+        frame += _U16.pack(len(raw))
+        frame += raw
+    _encode(payload, frame)
+    length = len(frame) - _LEN.size
+    if length > MAX_FRAME:
+        raise WireEncodeError(f"frame body {length} exceeds MAX_FRAME")
+    _LEN.pack_into(frame, 0, length)
+    return bytes(frame)
 
 
 def unpack_body(body: bytes) -> Message:

@@ -2,8 +2,8 @@
 
 ``python -m repro.serve`` turns one simulated installation into a real
 server process: it builds a World, assembles an SFS (or a two-node
-DFS-backed) stack, wraps a POSIX-style facade in a wire-safe
-:class:`FileService`, and serves it over the
+DFS-backed) stack, builds the wire-safe POSIX-style
+:class:`FileService` over it, and serves it over the
 :class:`~repro.ipc.transport.SocketServer` framing until a client calls
 ``control.shutdown()`` (or the process is signalled).
 
@@ -24,7 +24,6 @@ from __future__ import annotations
 import argparse
 from typing import List, Optional
 
-from repro.fs.attributes import FileAttributes
 from repro.unix.posixlike import (
     O_CREAT,
     O_RDONLY,
@@ -37,15 +36,15 @@ from repro.world import World
 STACKS = ("sfs", "dfs")
 
 
-class FileService:
-    """Wire-safe, path-and-fd file API over a :class:`Posix` facade.
+class FileService(Posix):
+    """:class:`Posix` as served over the wire, plus whole-file helpers.
 
-    Every operation takes and returns only wire-encodable values (the
-    one non-scalar is :class:`~repro.fs.attributes.FileAttributes`,
-    which is a registered wire struct), so the whole surface is
-    servable and batchable.  ``read_file``/``write_file`` are whole-file
-    conveniences that keep remote round trips — and the two-process
-    demo — compact.
+    Every public method takes and returns only wire-encodable values
+    (the one non-scalar is :class:`~repro.fs.attributes.FileAttributes`,
+    a registered wire struct), so the whole surface is servable and
+    batchable; a new public :class:`Posix` method is a new wire op.
+    ``read_file``/``write_file`` keep remote round trips — and the
+    two-process demo — compact.
     """
 
     #: Ops that are safe to resend if a reply is lost: they either
@@ -55,73 +54,23 @@ class FileService:
         "stat", "fstat", "pread", "listdir", "read_file", "open_fds",
     )
 
-    def __init__(self, posix: Posix) -> None:
-        self._posix = posix
-
-    # --- fd surface -----------------------------------------------------
-    def open(self, path: str, flags: int = O_RDONLY) -> int:
-        return self._posix.open(path, flags)
-
-    def close(self, fd: int) -> None:
-        return self._posix.close(fd)
-
-    def read(self, fd: int, size: int) -> bytes:
-        return self._posix.read(fd, size)
-
-    def write(self, fd: int, data: bytes) -> int:
-        return self._posix.write(fd, bytes(data))
-
-    def pread(self, fd: int, size: int, offset: int) -> bytes:
-        return self._posix.pread(fd, size, offset)
-
-    def pwrite(self, fd: int, data: bytes, offset: int) -> int:
-        return self._posix.pwrite(fd, bytes(data), offset)
-
-    def lseek(self, fd: int, offset: int, whence: int = 0) -> int:
-        return self._posix.lseek(fd, offset, whence)
-
-    def ftruncate(self, fd: int, length: int) -> None:
-        return self._posix.ftruncate(fd, length)
-
-    def fsync(self, fd: int) -> None:
-        return self._posix.fsync(fd)
-
-    def fstat(self, fd: int) -> FileAttributes:
-        return self._posix.fstat(fd)
-
-    def open_fds(self) -> int:
-        return self._posix.open_fds()
-
-    # --- path surface ---------------------------------------------------
-    def stat(self, path: str) -> FileAttributes:
-        return self._posix.stat(path)
-
     def mkdir(self, path: str) -> None:
-        self._posix.mkdir(path)
-
-    def unlink(self, path: str) -> None:
-        self._posix.unlink(path)
-
-    def listdir(self, path: str = "") -> List[str]:
-        return sorted(self._posix.listdir(path))
-
-    def rename(self, old: str, new: str) -> None:
-        self._posix.rename(old, new)
+        """The new context cannot cross the wire; drop it."""
+        super().mkdir(path)
 
     def write_file(self, path: str, data: bytes) -> int:
-        fd = self._posix.open(path, O_WRONLY | O_CREAT | O_TRUNC)
+        fd = self.open(path, O_WRONLY | O_CREAT | O_TRUNC)
         try:
-            return self._posix.write(fd, bytes(data))
+            return self.write(fd, data)
         finally:
-            self._posix.close(fd)
+            self.close(fd)
 
     def read_file(self, path: str) -> bytes:
-        fd = self._posix.open(path, O_RDONLY)
+        fd = self.open(path, O_RDONLY)
         try:
-            size = self._posix.fstat(fd).size
-            return self._posix.pread(fd, size, 0)
+            return self.pread(fd, self.fstat(fd).size, 0)
         finally:
-            self._posix.close(fd)
+            self.close(fd)
 
 
 class Control:
@@ -184,8 +133,9 @@ def build_service(stack: str = "sfs", blocks: int = 4096):
         export_dfs(storage, sfs.top)
         mount_remote(node, storage, "dfs")
         root = node.fs_context.resolve("dfs@storage")
-    posix = Posix(root, world.create_user_domain(node, "wire-user"))
-    return world, node, FileService(posix)
+    return world, node, FileService(
+        root, world.create_user_domain(node, "wire-user")
+    )
 
 
 def main(argv: Optional[List[str]] = None) -> int:

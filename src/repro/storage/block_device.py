@@ -233,11 +233,6 @@ class BlockDevice(SpringObject):
         data = self.store.read(index)
         return data if data is not None else bytes(self.block_size)
 
-    def allocated_blocks(self) -> int:
-        """Blocks written through this store instance (for the memory
-        backend: exactly the blocks that exist)."""
-        return self.store.written_count()
-
 
 class RamDevice(BlockDevice):
     """A block device with no mechanical latency (ablation aid)."""

@@ -232,7 +232,7 @@ class Posix:
             context = narrow(obj, NamingContext)
             if context is None:
                 raise UnixError("ENOTDIR", path)
-            return context.list_names()
+            return sorted(context.list_names())
 
     def rename(self, old: str, new: str) -> None:
         with self.domain.activate():

@@ -11,12 +11,15 @@ from repro.fs.cfs import start_cfs
 from repro.fs.compfs import CompFs
 from repro.fs.cryptfs import CryptFs
 from repro.fs.dfs import export_dfs, mount_remote
+from repro.fs.file import File
 from repro.fs.interposer import WatchdogContext
 from repro.fs.mirrorfs import MirrorFs
 from repro.fs.nullfs import NullFs
 from repro.fs.quotafs import QuotaFs
 from repro.fs.sfs import create_sfs
 from repro.ipc.domain import Credentials
+from repro.ipc.narrow import narrow
+from repro.naming.context import NamingContext
 from repro.storage.block_device import RamDevice
 from repro.types import PAGE_SIZE
 from repro.unix import O_CREAT, O_RDONLY, O_RDWR, Posix
@@ -92,6 +95,7 @@ KINDS = [
     "quotafs",
     "mirrorfs",
     "dfs-remote",
+    "cfs",
 ]
 
 
@@ -146,7 +150,7 @@ class TestSameWorkloadEverywhere:
             posix.close(fd)
 
 
-@pytest.mark.parametrize("kind", KINDS + ["cfs", "watchdog"])
+@pytest.mark.parametrize("kind", KINDS + ["watchdog"])
 def test_list_names_matches_list_bindings(kind):
     root, user = _stack(kind)
     posix = Posix(root, user)
@@ -159,8 +163,10 @@ def test_list_names_matches_list_bindings(kind):
         assert posix.listdir("sub") == ["x.dat"]
     with user.activate():
         for context in contexts:
-            names = [name for name, _ in context.list_bindings()]
-            assert context.list_names() == names
+            bindings = context.list_bindings()
+            assert context.list_names() == [name for name, _ in bindings]
+            for _, obj in bindings:
+                assert narrow(obj, File) or narrow(obj, NamingContext)
     assert posix.listdir()[:3] == ["a.dat", "b.dat", "c.dat"]
 
 

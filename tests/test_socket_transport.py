@@ -466,67 +466,11 @@ class TestBackendParity:
         world, node, service = build_service("sfs")
         node.expose("fs", service)
         node.expose("control", Control(world))
-        simulated = SimulatedTransport(world.network, registry=None)
-        simulated.registry.exports = node.exports
+        simulated = SimulatedTransport(node.exports)
         sim_out = run_script(
             simulated.bind("fs"), simulated.bind("control")
         )
         assert sim_out == socket_out
-
-
-# --- the network seam -------------------------------------------------------
-
-class TestTransportSeam:
-    def test_default_transport_is_simulated(self):
-        world = World()
-        assert isinstance(world.network.transport, SimulatedTransport)
-
-    def test_network_send_routes_through_transport(self):
-        world = World()
-        a = world.create_node("a")
-        b = world.create_node("b")
-        sent = []
-        original = world.network.transport
-
-        class Recording(SimulatedTransport):
-            def send(self, src, dst, nbytes, checked=True):
-                sent.append((src.name, dst.name, nbytes))
-                original.send(src, dst, nbytes, checked=checked)
-
-        world.network.install_transport(Recording(world.network))
-        world.network.send(a, b, 123)
-        assert sent == [("a", "b", 123)]
-        assert world.network.messages == 1
-
-    def test_invocation_path_uses_seam(self):
-        # A cross-node invocation must flow through Network.send.
-        from repro.ipc.domain import Credentials
-        from repro.ipc.invocation import operation
-        from repro.ipc.object import SpringObject
-
-        class Service(SpringObject):
-            @operation
-            def hello(self):
-                return "hi"
-
-        world = World()
-        a = world.create_node("a")
-        b = world.create_node("b")
-        server_domain = b.create_domain("srv", Credentials("srv", True))
-        service = Service(server_domain)
-        seen = []
-        original = world.network.transport
-
-        class Recording(SimulatedTransport):
-            def send(self, src, dst, nbytes, checked=True):
-                seen.append((src.name, dst.name))
-                original.send(src, dst, nbytes, checked=checked)
-
-        world.network.install_transport(Recording(world.network))
-        client = world.create_user_domain(a)
-        with client.activate():
-            assert service.hello() == "hi"
-        assert seen == [("a", "b")]
 
 
 class TestServerThread:
